@@ -12,7 +12,6 @@
 #   BENCH_parallel.json  R11 thread-scaling sweep (speedups per thread count)
 #   BENCH_service.json   R19 service QPS + latency percentiles over loopback
 #   BENCH_obs.json       R20 observability primitive costs + trace overhead
-#   BENCH_fused.json     R21 fused vs per-request service QPS + identity bit
 #   BENCH_planner.json   R22 planner routing overhead + LSH-tier speedup
 #   BENCH_outofcore.json R23 external-build identity + mmap fault-in gates
 #   BENCH_updates.json   R24 live-update identity + steady-state churn ratio
@@ -29,13 +28,6 @@
 # ns ceilings, and SIMJOIN_BENCH_OBS_TOLERANCE (default 0.03 = 3%) bounds
 # how far the instrumented R19 service QPS may sit below its baseline and
 # how much the R20 tracing-on/off join ratio may grow before the run fails.
-#
-# The R21 run carries two absolute gates on top of the usual baseline
-# comparison: the fused server must answer bit-identically to the
-# per-request server (identical == true; the bench itself exits nonzero
-# otherwise), and fusion must deliver at least
-# SIMJOIN_BENCH_FUSED_MIN_SPEEDUP (default 1.5) times the per-request QPS
-# at the bench's high-concurrency batch=1 configuration.
 #
 # The R23 run gates the out-of-core segment tier with absolute checks: the
 # externally bulk-loaded segment must be byte-identical to the in-RAM
@@ -84,7 +76,6 @@ done
 
 TOLERANCE="${SIMJOIN_BENCH_TOLERANCE:-0.30}"
 OBS_TOLERANCE="${SIMJOIN_BENCH_OBS_TOLERANCE:-0.03}"
-FUSED_MIN_SPEEDUP="${SIMJOIN_BENCH_FUSED_MIN_SPEEDUP:-1.5}"
 PLANNER_MIN_SPEEDUP="${SIMJOIN_BENCH_PLANNER_MIN_SPEEDUP:-3.0}"
 PLANNER_EXACT_TOLERANCE="${SIMJOIN_BENCH_PLANNER_EXACT_TOLERANCE:-0.05}"
 OUTOFCORE_MIN_SPEEDUP="${SIMJOIN_BENCH_OUTOFCORE_MIN_SPEEDUP:-5.0}"
@@ -95,14 +86,12 @@ ABLATION_BIN="$BUILD_DIR/bench/bench_r10_ablation_leafjoin"
 PARALLEL_BIN="$BUILD_DIR/bench/bench_r11_parallel"
 SERVICE_BIN="$BUILD_DIR/bench/bench_r19_service"
 OBS_BIN="$BUILD_DIR/bench/bench_r20_obs_overhead"
-FUSED_BIN="$BUILD_DIR/bench/bench_r21_fused"
 PLANNER_BIN="$BUILD_DIR/bench/bench_r22_planner"
 OUTOFCORE_BIN="$BUILD_DIR/bench/bench_r23_outofcore"
 UPDATES_BIN="$BUILD_DIR/bench/bench_r24_updates"
 
 for bin in "$MICRO_BIN" "$ABLATION_BIN" "$PARALLEL_BIN" "$SERVICE_BIN" \
-           "$OBS_BIN" "$FUSED_BIN" "$PLANNER_BIN" "$OUTOFCORE_BIN" \
-           "$UPDATES_BIN"; do
+           "$OBS_BIN" "$PLANNER_BIN" "$OUTOFCORE_BIN" "$UPDATES_BIN"; do
   if [[ ! -x "$bin" ]]; then
     echo "error: $bin not found; build with benchmarks first:" >&2
     echo "  cmake -B $BUILD_DIR -S . && cmake --build $BUILD_DIR -j" >&2
@@ -199,33 +188,12 @@ json.dump(json.loads(m.group(1)), open("BENCH_obs.json", "w"), indent=2)
 print("wrote BENCH_obs.json")
 PY
 
-# The R21 binary enforces bit-identity itself (fused responses must match
-# per-request responses byte for byte) and exits nonzero on divergence or
-# request errors; set -e propagates that here.
-echo ">>> $FUSED_BIN"
-FUSED_TXT="$(mktemp)"
-trap 'rm -f "$ABLATION_TXT" "$PARALLEL_TXT" "$SERVICE_TXT" "$OBS_TXT" \
-  "$FUSED_TXT"' EXIT
-"$FUSED_BIN" --seconds 2 | tee "$FUSED_TXT"
-
-# Extract the machine-readable FUSED_JSON line into BENCH_fused.json.
-python3 - "$FUSED_TXT" <<'PY'
-import json, re, sys
-
-text = open(sys.argv[1]).read()
-m = re.search(r"^# FUSED_JSON (\{.*\})$", text, re.M)
-if m is None:
-    sys.exit("error: bench_r21_fused emitted no FUSED_JSON line")
-json.dump(json.loads(m.group(1)), open("BENCH_fused.json", "w"), indent=2)
-print("wrote BENCH_fused.json")
-PY
-
 # The R22 binary enforces routed-exact bit-identity itself and exits
 # nonzero on divergence or request errors; set -e propagates that here.
 echo ">>> $PLANNER_BIN"
 PLANNER_TXT="$(mktemp)"
 trap 'rm -f "$ABLATION_TXT" "$PARALLEL_TXT" "$SERVICE_TXT" "$OBS_TXT" \
-  "$FUSED_TXT" "$PLANNER_TXT"' EXIT
+  "$PLANNER_TXT"' EXIT
 "$PLANNER_BIN" --seconds 2 | tee "$PLANNER_TXT"
 
 # Extract the machine-readable PLANNER_JSON line into BENCH_planner.json.
@@ -247,7 +215,7 @@ PY
 echo ">>> $OUTOFCORE_BIN"
 OUTOFCORE_TXT="$(mktemp)"
 trap 'rm -f "$ABLATION_TXT" "$PARALLEL_TXT" "$SERVICE_TXT" "$OBS_TXT" \
-  "$FUSED_TXT" "$PLANNER_TXT" "$OUTOFCORE_TXT"' EXIT
+  "$PLANNER_TXT" "$OUTOFCORE_TXT"' EXIT
 "$OUTOFCORE_BIN" | tee "$OUTOFCORE_TXT"
 
 # Extract the machine-readable OUTOFCORE_JSON line into BENCH_outofcore.json.
@@ -268,7 +236,7 @@ PY
 echo ">>> $UPDATES_BIN"
 UPDATES_TXT="$(mktemp)"
 trap 'rm -f "$ABLATION_TXT" "$PARALLEL_TXT" "$SERVICE_TXT" "$OBS_TXT" \
-  "$FUSED_TXT" "$PLANNER_TXT" "$OUTOFCORE_TXT" "$UPDATES_TXT"' EXIT
+  "$PLANNER_TXT" "$OUTOFCORE_TXT" "$UPDATES_TXT"' EXIT
 "$UPDATES_BIN" --seconds 2 | tee "$UPDATES_TXT"
 
 # Extract the machine-readable UPDATES_JSON line into BENCH_updates.json.
@@ -289,7 +257,6 @@ if [[ "$UPDATE_BASELINE" == 1 ]]; then
   cp BENCH_parallel.json BENCH_parallel.baseline.json
   cp BENCH_service.json BENCH_service.baseline.json
   cp BENCH_obs.json BENCH_obs.baseline.json
-  cp BENCH_fused.json BENCH_fused.baseline.json
   cp BENCH_planner.json BENCH_planner.baseline.json
   cp BENCH_outofcore.json BENCH_outofcore.baseline.json
   cp BENCH_updates.json BENCH_updates.baseline.json
@@ -297,18 +264,17 @@ if [[ "$UPDATE_BASELINE" == 1 ]]; then
   exit 0
 fi
 
-python3 - "$TOLERANCE" "$OBS_TOLERANCE" "$FUSED_MIN_SPEEDUP" \
-  "$PLANNER_MIN_SPEEDUP" "$PLANNER_EXACT_TOLERANCE" \
-  "$OUTOFCORE_MIN_SPEEDUP" "$UPDATES_TOLERANCE" <<'PY'
+python3 - "$TOLERANCE" "$OBS_TOLERANCE" "$PLANNER_MIN_SPEEDUP" \
+  "$PLANNER_EXACT_TOLERANCE" "$OUTOFCORE_MIN_SPEEDUP" \
+  "$UPDATES_TOLERANCE" <<'PY'
 import json, os, sys
 
 tol = float(sys.argv[1])
 obs_tol = float(sys.argv[2])
-fused_min_speedup = float(sys.argv[3])
-planner_min_speedup = float(sys.argv[4])
-planner_exact_tol = float(sys.argv[5])
-outofcore_min_speedup = float(sys.argv[6])
-updates_tol = float(sys.argv[7])
+planner_min_speedup = float(sys.argv[3])
+planner_exact_tol = float(sys.argv[4])
+outofcore_min_speedup = float(sys.argv[5])
+updates_tol = float(sys.argv[6])
 failures = []
 
 
@@ -376,37 +342,6 @@ if os.path.exists("BENCH_service.baseline.json"):
                   f"{cur.get('dropped_connections', 0)} dropped connections")
     else:
         print("service baseline from a different core count "
-              f"({base.get('hardware_concurrency')} vs "
-              f"{cur.get('hardware_concurrency')}); skipping comparison")
-
-# R21 fused gates are absolute, not baseline-relative: bit-identity and the
-# minimum fused-over-per-request speedup hold on any host.
-cur = json.load(open("BENCH_fused.json"))
-print(f"fused execution gates (min speedup {fused_min_speedup:.2f}x):")
-if not cur.get("identical", False):
-    failures.append("fused/identical")
-    print("  [FAIL] fused/identical: fused responses diverge from "
-          "per-request responses")
-else:
-    print("  [ok] fused/identical: responses bit-identical")
-speedup = cur.get("speedup", 0.0)
-status = "FAIL" if speedup < fused_min_speedup else "ok"
-print(f"  [{status}] fused/speedup: {speedup:.3f}x "
-      f"(minimum {fused_min_speedup:.2f}x)")
-if speedup < fused_min_speedup:
-    failures.append("fused/speedup")
-if cur.get("errors", 0):
-    failures.append("fused/errors")
-    print(f"  [FAIL] fused/errors: {cur['errors']} request errors")
-if os.path.exists("BENCH_fused.baseline.json"):
-    have_baseline = True
-    base = json.load(open("BENCH_fused.baseline.json"))
-    # QPS is host-bound; compare only on the same core count.
-    if cur.get("hardware_concurrency") == base.get("hardware_concurrency"):
-        print("fused throughput vs baseline:")
-        compare("fused/qps_fused", cur["qps_fused"], base["qps_fused"])
-    else:
-        print("fused baseline from a different core count "
               f"({base.get('hardware_concurrency')} vs "
               f"{cur.get('hardware_concurrency')}); skipping comparison")
 
@@ -578,7 +513,8 @@ if obs_failures:
 if not have_baseline:
     print("no BENCH_*.baseline.json found; snapshots written. To seed the")
     print("baselines: scripts/check_bench_regression.sh --update-baseline")
-    # The absolute gates (fused identity/speedup) apply regardless.
+    # The absolute gates (identity, speedup and ratio floors) apply
+    # regardless.
     if failures:
         sys.exit("bench gate failures: " + ", ".join(failures))
     sys.exit(0)

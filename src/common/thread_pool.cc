@@ -148,11 +148,11 @@ size_t ThreadPool::CurrentWorkerIndex() const {
 void ThreadPool::Submit(std::function<void()> task) {
   // Propagate the submitting thread's request context (trace id + profile
   // collector) across the task boundary, so spans recorded inside pool
-  // tasks — parallel joins, fused sweeps — attribute to the request that
-  // spawned them.  The capture-gate check keeps the common case (no
-  // tracing, no profiled request in flight) at one relaxed load; the
-  // caller guarantees the collector outlives its tasks (request handlers
-  // join their TaskGroup before finishing the profile).
+  // tasks — parallel joins — attribute to the request that spawned them.
+  // The capture-gate check keeps the common case (no tracing, no profiled
+  // request in flight) at one relaxed load; the caller guarantees the
+  // collector outlives its tasks (request handlers join their TaskGroup
+  // before finishing the profile).
   if (obs::internal::CaptureEnabled()) {
     const obs::RequestContext ctx = obs::CurrentRequestContext();
     if (ctx.active()) {

@@ -10,7 +10,7 @@
 // RequestProfileCollector when the request asked to be profiled.  The
 // ThreadPool captures the submitting thread's context when a task is
 // enqueued and restores it around execution, so spans inside pool tasks —
-// parallel joins, fused batch sweeps — land in the right request's tree.
+// parallel joins — land in the right request's tree.
 //
 // The disabled path stays free: TraceSpan's constructor checks one shared
 // relaxed atomic (the capture gate in trace.h) that is non-zero only while
@@ -99,9 +99,9 @@ class RequestProfileCollector {
   uint32_t BeginPhase(const char* name, uint32_t parent, uint64_t start_ns);
   void EndPhase(uint32_t node, uint64_t end_ns, uint64_t cpu_ns);
 
-  /// Records a completed phase in one call (retroactive attribution: queue
-  /// wait measured from the admission stamp, a fused batch's shared sweep
-  /// attributed to every member).  Returns the node index.
+  /// Records a completed phase in one call (retroactive attribution, e.g.
+  /// queue wait measured from the admission stamp).  Returns the node
+  /// index.
   uint32_t AddPhase(const char* name, uint32_t parent, uint64_t start_ns,
                     uint64_t wall_ns, uint64_t cpu_ns);
 

@@ -65,12 +65,6 @@ struct ServiceMetrics {
   obs::Counter* decode_errors;
   obs::Counter* pairs_streamed;
   obs::Counter* write_stall_disconnects;
-  obs::Counter* fusion_batches;
-  obs::Counter* fusion_fused_queries;
-  obs::Counter* fusion_batch_full;
-  obs::Counter* fusion_wait_expired;
-  obs::Histogram* fusion_batch_size;
-  obs::Histogram* fusion_wait_us;  ///< admission -> batch execution start
   obs::Counter* planner_requests;       ///< planner-extension range queries
   obs::Counter* planner_cache_hits;     ///< decision served from plan cache
   obs::Counter* planner_cache_misses;   ///< cold plans (probe + selectivity)
@@ -140,12 +134,6 @@ const ServiceMetrics& GetServiceMetrics() {
         reg.GetCounter("service.decode_errors"),
         reg.GetCounter("service.pairs_streamed"),
         reg.GetCounter("service.write_stall_disconnects"),
-        reg.GetCounter("service.fusion.batches"),
-        reg.GetCounter("service.fusion.fused_queries"),
-        reg.GetCounter("service.fusion.batch_full"),
-        reg.GetCounter("service.fusion.wait_expired"),
-        reg.GetHistogram("service.fusion.batch_size"),
-        reg.GetHistogram("service.fusion.wait_us"),
         reg.GetCounter("service.planner.requests"),
         reg.GetCounter("service.planner.cache_hits"),
         reg.GetCounter("service.planner.cache_misses"),
@@ -252,38 +240,9 @@ struct Server::Impl {
   std::atomic<uint64_t> decode_errors{0};
   std::atomic<uint64_t> pairs_streamed{0};
   std::atomic<uint64_t> write_stall_disconnects{0};
-  std::atomic<uint64_t> fusion_batches{0};
-  std::atomic<uint64_t> fusion_fused_queries{0};
-  std::atomic<uint64_t> fusion_batch_full{0};
-  std::atomic<uint64_t> fusion_wait_expired{0};
   /// Sequence for on-disk build artifact names (a rebuilt name must not
   /// overwrite a segment file the previous snapshot is still mapping).
   std::atomic<uint64_t> on_disk_builds{0};
-
-  /// One admitted range query parked in the fusion buffer.  admitted_at is
-  /// the admission-gate timestamp — it anchors both the deadline check and
-  /// the latency histogram, exactly as in the unfused path, so the wait
-  /// spent in the buffer is charged to the request that waited.
-  struct FusionEntry {
-    std::shared_ptr<Conn> conn;
-    Frame frame;
-    Clock::time_point admitted_at;
-  };
-
-  std::mutex fusion_mu;
-  std::condition_variable fusion_cv;            // guarded by fusion_mu
-  std::deque<FusionEntry> fusion_queue;         // guarded by fusion_mu
-  /// Fused batches dispatched but not yet finished.  Group-commit flow
-  /// control: while one is executing, the collector keeps accumulating past
-  /// the wait budget (flushing into a busy pool would only shrink batches),
-  /// so under load the previous batch's execution time becomes the batching
-  /// window and batch sizes track the offered concurrency.
-  std::atomic<size_t> fusion_executing{0};
-  /// Set (under fusion_mu) when the collector thread has drained and exited;
-  /// frames arriving after that fall back to solo dispatch instead of being
-  /// stranded in a buffer nobody will ever flush.
-  bool fusion_exited = false;
-  std::thread fusion_thread;
 
   std::mutex join_mu;
   bool joined = false;
@@ -306,25 +265,18 @@ struct Server::Impl {
 
   // -- response plumbing ----------------------------------------------------
 
-  /// Queue-only half of EnqueueFrame: appends the frame without waking the
-  /// connection's io thread.  The fused batch path uses it to scatter many
-  /// responses and then notify each io thread once, instead of once per
-  /// response.  Callers must wake io[conn->io_index] afterwards.
-  void EnqueueFrameNoWake(const std::shared_ptr<Conn>& conn,
-                          std::vector<uint8_t> frame) {
-    std::lock_guard<std::mutex> lock(conn->write_mu);
-    if (conn->dead) return;
-    conn->queued_bytes += frame.size();
-    conn->write_queue.push_back(std::move(frame));
-  }
-
   /// Queues one encoded frame on the connection and wakes its io thread.
   /// Callable from any thread; silently drops frames for dead connections.
   /// Never blocks — io threads use it too, and an io thread waiting on its
   /// own drain would deadlock.
   void EnqueueFrame(const std::shared_ptr<Conn>& conn,
                     std::vector<uint8_t> frame) {
-    EnqueueFrameNoWake(conn, std::move(frame));
+    {
+      std::lock_guard<std::mutex> lock(conn->write_mu);
+      if (conn->dead) return;
+      conn->queued_bytes += frame.size();
+      conn->write_queue.push_back(std::move(frame));
+    }
     io[conn->io_index]->wake.Notify();
   }
 
@@ -641,10 +593,9 @@ struct Server::Impl {
     return IndexSnapshot::OpenMapped(req.name, segment, MmapBackendOptions{});
   }
 
-  /// Parses and resolves one range-query request up to the point where it
-  /// could execute: snapshot looked up, dims checked, epsilon resolved and
-  /// validated.  Shared by the solo and fused paths so both fail with
-  /// byte-identical errors.
+  /// One range-query request resolved up to the point where it can
+  /// execute: snapshot looked up, dims checked, epsilon resolved and
+  /// validated, and (for planner-extension requests) the backend planned.
   struct ResolvedRangeQuery {
     RangeQueryRequest req;
     std::shared_ptr<const IndexSnapshot> snapshot;
@@ -654,54 +605,6 @@ struct Server::Impl {
     /// legacy path executes through the snapshot's primary, untouched.
     PlannedRange planned;
   };
-
-  /// Precondition: out->req is already parsed (the solo and fused paths
-  /// both parse first, so the trace context can be armed before resolution
-  /// work is attributed to the request).
-  Status ResolveRangeQuery(ResolvedRangeQuery* out) {
-    SIMJOIN_ASSIGN_OR_RETURN(out->snapshot, registry.Get(out->req.name));
-    const size_t index_dims = out->snapshot->dataset().dims();
-    if (out->req.dims != index_dims) {
-      return Status::InvalidArgument(
-          "query dims " + std::to_string(out->req.dims) + " != index dims " +
-          std::to_string(index_dims));
-    }
-    out->eps = out->req.epsilon == 0.0 ? out->snapshot->config().epsilon
-                                       : out->req.epsilon;
-    out->count = out->req.queries.size() / out->req.dims;
-    // Validate up front (the per-query execution would reject the same way)
-    // so a bad radius in a fused batch fails only its own request, with the
-    // same error text the unfused path produces.
-    if (out->count > 0) {
-      SIMJOIN_RETURN_NOT_OK(out->snapshot->ValidateQueryEpsilon(out->eps));
-    }
-    if (out->req.has_planner) {
-      SIMJOIN_ASSIGN_OR_RETURN(
-          out->planned,
-          out->snapshot->PlanRange(out->eps, out->req.recall,
-                                   out->req.backend, RangePlannerOptions{}));
-      const ServiceMetrics& metrics = GetServiceMetrics();
-      metrics.planner_requests->Add();
-      if (out->req.backend != kWireBackendAuto) {
-        metrics.planner_forced->Add();
-      } else if (out->planned.cache_hit) {
-        metrics.planner_cache_hits->Add();
-      } else {
-        metrics.planner_cache_misses->Add();
-      }
-      if (out->planned.built_backend) metrics.planner_backend_builds->Add();
-      metrics.RoutedCounterFor(out->planned.plan.kind)->Add();
-    }
-    return Status::OK();
-  }
-
-  /// The IndexBackend one resolved request executes on: the planner's pick
-  /// for extension requests, the snapshot's primary otherwise.  Lifetime is
-  /// carried by the ResolvedRangeQuery (snapshot / planned.backend).
-  static const IndexBackend* ExecBackend(const ResolvedRangeQuery& rq) {
-    return rq.req.has_planner ? rq.planned.backend.get()
-                              : &rq.snapshot->primary();
-  }
 
   /// Human-readable planner decision carried in profiles and slow-log
   /// entries: which backend executed, at what radius, and (for planner
@@ -727,14 +630,13 @@ struct Server::Impl {
   /// batch estimate is total found over the summed estimates.
   static void FinalizePlannedResponse(const ResolvedRangeQuery& rq,
                                       const std::vector<double>& recalls,
-                                      size_t recalls_offset,
                                       RangeQueryResponse* resp) {
     double est_true = 0.0;
     uint64_t found = 0;
     for (size_t q = 0; q < resp->results.size(); ++q) {
       std::sort(resp->results[q].begin(), resp->results[q].end());
       const size_t got = resp->results[q].size();
-      const double r = recalls[recalls_offset + q];
+      const double r = recalls[q];
       if (got > 0 && r > 0.0) {
         found += got;
         est_true += static_cast<double>(got) / r;
@@ -755,7 +657,38 @@ struct Server::Impl {
     ArmObs(ro, rq.req.trace, rq.req.name);
     {
       SIMJOIN_TRACE_SPAN("service.phase.resolve");
-      SIMJOIN_RETURN_NOT_OK(ResolveRangeQuery(&rq));
+      SIMJOIN_ASSIGN_OR_RETURN(rq.snapshot, registry.Get(rq.req.name));
+      const size_t index_dims = rq.snapshot->dataset().dims();
+      if (rq.req.dims != index_dims) {
+        return Status::InvalidArgument(
+            "query dims " + std::to_string(rq.req.dims) + " != index dims " +
+            std::to_string(index_dims));
+      }
+      rq.eps = rq.req.epsilon == 0.0 ? rq.snapshot->config().epsilon
+                                     : rq.req.epsilon;
+      rq.count = rq.req.queries.size() / rq.req.dims;
+      // Reject a bad radius before planning, so a request with both a bad
+      // radius and a bad recall target reports the radius.
+      if (rq.count > 0) {
+        SIMJOIN_RETURN_NOT_OK(rq.snapshot->ValidateQueryEpsilon(rq.eps));
+      }
+      if (rq.req.has_planner) {
+        SIMJOIN_ASSIGN_OR_RETURN(
+            rq.planned, rq.snapshot->PlanRange(rq.eps, rq.req.recall,
+                                               rq.req.backend,
+                                               RangePlannerOptions{}));
+        const ServiceMetrics& metrics = GetServiceMetrics();
+        metrics.planner_requests->Add();
+        if (rq.req.backend != kWireBackendAuto) {
+          metrics.planner_forced->Add();
+        } else if (rq.planned.cache_hit) {
+          metrics.planner_cache_hits->Add();
+        } else {
+          metrics.planner_cache_misses->Add();
+        }
+        if (rq.planned.built_backend) metrics.planner_backend_builds->Add();
+        metrics.RoutedCounterFor(rq.planned.plan.kind)->Add();
+      }
     }
     if (ro->collector != nullptr) ro->collector->SetPlan(RangePlanString(rq));
     RangeQueryResponse resp;
@@ -775,7 +708,7 @@ struct Server::Impl {
               rq.req.queries.data() + i * rq.req.dims, rq.eps,
               &resp.results[i], &resp.stats, &recalls[i]));
         }
-        FinalizePlannedResponse(rq, recalls, 0, &resp);
+        FinalizePlannedResponse(rq, recalls, &resp);
       }
     }
     if (ro->collector != nullptr) {
@@ -1165,304 +1098,6 @@ struct Server::Impl {
     EnqueueFrame(conn, std::move(bytes));
   }
 
-  // -- fused range-query execution -------------------------------------------
-
-  /// Runs one fused batch of admitted range queries on a worker thread.
-  ///
-  /// Each entry is resolved exactly as the solo path would (same parse,
-  /// lookup, dims, and epsilon errors); the viable ones are grouped by index
-  /// snapshot and executed through RangeQueryBatch, which plans every
-  /// query's leaf windows, sorts them by arena position, and sweeps the
-  /// coordinate arena once with the strided SIMD kernels.  Responses are
-  /// bit-identical to solo execution: same id order, same per-request
-  /// JoinStats (RangeQueryBatch attributes kernel counters per query).
-  void ExecuteFusedBatch(std::vector<FusionEntry> entries) {
-    if (config.handler_delay_ms_for_testing > 0) {
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(config.handler_delay_ms_for_testing));
-    }
-    SIMJOIN_TRACE_SPAN("service.fusion.sweep");
-    const ServiceMetrics& metrics = GetServiceMetrics();
-    fusion_batches.fetch_add(1, std::memory_order_relaxed);
-    fusion_fused_queries.fetch_add(entries.size(), std::memory_order_relaxed);
-    metrics.fusion_batches->Add();
-    metrics.fusion_fused_queries->Add(entries.size());
-    metrics.fusion_batch_size->Record(static_cast<double>(entries.size()));
-    for (const FusionEntry& entry : entries) {
-      metrics.fusion_wait_us->Record(ElapsedUs(entry.admitted_at));
-    }
-
-    const size_t n = entries.size();
-    std::vector<Terminal> terminals(n);
-    std::vector<ResolvedRangeQuery> resolved(n);
-    std::vector<bool> viable(n, false);
-    // Per-member observability: a member that asked for a profile (or that
-    // the slow-query log will want) gets its own collector, and the shared
-    // sweep is attributed retroactively to every member — each profile
-    // shows the full batch sweep interval, because that IS the wall time
-    // the member spent executing.  Phases stay contiguous per member:
-    // queue | resolve | wait (grouping + other members) | sweep | finalize.
-    struct EntryObs {
-      TraceContext trace;
-      std::string index;
-      std::unique_ptr<obs::RequestProfileCollector> collector;
-      uint32_t root = obs::kProfileNoParent;
-      uint64_t epoch_ns = 0;
-      uint64_t resolve_end_ns = 0;
-      Status status;
-      bool closed = false;
-    };
-    std::vector<EntryObs> eobs(n);
-    for (size_t i = 0; i < n; ++i) {
-      const Frame& frame = entries[i].frame;
-      eobs[i].epoch_ns = TraceStamp(entries[i].admitted_at);
-      const uint32_t deadline = frame.header.deadline_ms;
-      if (deadline > 0 && ElapsedMs(entries[i].admitted_at) > deadline) {
-        deadline_expired.fetch_add(1, std::memory_order_relaxed);
-        metrics.deadline_expired->Add();
-        eobs[i].status = Status::DeadlineExceeded(
-            "deadline of " + std::to_string(deadline) + " ms expired after " +
-            std::to_string(ElapsedMs(entries[i].admitted_at)) + " ms");
-        terminals[i].payload = EncodeErrorResponse(eobs[i].status);
-        continue;
-      }
-      const uint64_t resolve_start = obs::internal::TraceNowNanos();
-      Status st = ParseRangeQueryRequest(frame.payload, &resolved[i].req);
-      if (st.ok()) {
-        eobs[i].trace = resolved[i].req.trace;
-        eobs[i].index = resolved[i].req.name;
-        if (eobs[i].trace.profile() || slow_log != nullptr) {
-          if (eobs[i].trace.profile()) metrics.profiled_requests->Add();
-          eobs[i].collector =
-              std::make_unique<obs::RequestProfileCollector>(
-                  eobs[i].trace.trace_id, eobs[i].epoch_ns);
-          eobs[i].root = eobs[i].collector->BeginPhase(
-              "service.range_query", obs::kProfileNoParent, eobs[i].epoch_ns);
-          eobs[i].collector->AddPhase("queue", eobs[i].root, eobs[i].epoch_ns,
-                                      resolve_start - eobs[i].epoch_ns, 0);
-        }
-        st = ResolveRangeQuery(&resolved[i]);
-      }
-      if (eobs[i].collector != nullptr) {
-        eobs[i].resolve_end_ns = obs::internal::TraceNowNanos();
-        eobs[i].collector->AddPhase("resolve", eobs[i].root, resolve_start,
-                                    eobs[i].resolve_end_ns - resolve_start,
-                                    0);
-        eobs[i].collector->SetPlan(st.ok() ? RangePlanString(resolved[i])
-                                           : "unresolved");
-      }
-      if (!st.ok()) {
-        eobs[i].status = st;
-        terminals[i].payload = EncodeErrorResponse(st);
-        continue;
-      }
-      viable[i] = true;
-    }
-
-    // Group viable requests by the backend that executes them (the
-    // planner's pick for extension requests, the snapshot primary
-    // otherwise); requests on the same structure fuse among themselves, so
-    // legacy and planner-routed-to-primary traffic against one index still
-    // share a sweep.  Raw pointers are safe as group keys: each resolved
-    // entry keeps its snapshot (and any planner backend) alive for the
-    // whole batch.  Linear scan: batches hold few distinct backends.
-    struct BackendGroup {
-      const IndexBackend* backend;
-      std::vector<size_t> members;  ///< entry indexes, admission order
-    };
-    std::vector<BackendGroup> groups;
-    for (size_t i = 0; i < n; ++i) {
-      if (!viable[i]) continue;
-      const IndexBackend* backend = ExecBackend(resolved[i]);
-      auto it = std::find_if(
-          groups.begin(), groups.end(),
-          [backend](const BackendGroup& g) { return g.backend == backend; });
-      if (it == groups.end()) {
-        groups.push_back(BackendGroup{backend, {}});
-        it = std::prev(groups.end());
-      }
-      it->members.push_back(i);
-    }
-
-    for (const BackendGroup& bg : groups) {
-      std::vector<RangeQuerySpec> specs;
-      bool any_planner = false;
-      for (const size_t i : bg.members) {
-        const ResolvedRangeQuery& rq = resolved[i];
-        any_planner = any_planner || rq.req.has_planner;
-        for (size_t q = 0; q < rq.count; ++q) {
-          specs.push_back(RangeQuerySpec{
-              rq.req.queries.data() + q * rq.req.dims, rq.eps});
-        }
-      }
-      std::vector<std::vector<PointId>> results;
-      std::vector<JoinStats> stats;
-      std::vector<double> recalls;
-      Status st;
-      const uint64_t sweep_start_ns = obs::internal::TraceNowNanos();
-      const uint64_t sweep_cpu_start = obs::ThreadCpuNanos();
-      if (!specs.empty()) {
-        st = bg.backend->RangeQueryBatch(specs.data(), specs.size(), &results,
-                                         &stats,
-                                         any_planner ? &recalls : nullptr);
-      }
-      const uint64_t sweep_end_ns = obs::internal::TraceNowNanos();
-      const uint64_t sweep_cpu = obs::ThreadCpuNanos() - sweep_cpu_start;
-      size_t cursor = 0;
-      for (const size_t i : bg.members) {
-        if (!st.ok()) {
-          // Cannot happen after per-request validation, but if the batch
-          // engine ever rejects, every member reports the failure rather
-          // than silently dropping.
-          viable[i] = false;
-          eobs[i].status = st;
-          terminals[i].payload = EncodeErrorResponse(st);
-          continue;
-        }
-        const ResolvedRangeQuery& rq = resolved[i];
-        RangeQueryResponse resp;
-        resp.results.reserve(rq.count);
-        const size_t first = cursor;
-        for (size_t q = 0; q < rq.count; ++q, ++cursor) {
-          resp.results.push_back(std::move(results[cursor]));
-          resp.stats.Merge(stats[cursor]);
-        }
-        if (rq.req.has_planner) {
-          FinalizePlannedResponse(rq, recalls, first, &resp);
-        }
-        if (obs::RequestProfileCollector* col = eobs[i].collector.get()) {
-          // The group sweep is one shared interval; every member's tree
-          // carries it whole (the member really did wait for all of it).
-          col->AddPhase("wait", eobs[i].root, eobs[i].resolve_end_ns,
-                        sweep_start_ns - eobs[i].resolve_end_ns, 0);
-          col->AddPhase("fused_sweep", eobs[i].root, sweep_start_ns,
-                        sweep_end_ns - sweep_start_ns, sweep_cpu);
-          col->AddCounter("fused_batch_requests", bg.members.size());
-          col->AddCounter("query_points", rq.count);
-          col->AddCounter("candidates", resp.stats.candidate_pairs);
-          col->AddCounter("distance_calls", resp.stats.distance_calls);
-          col->AddCounter("results", resp.stats.pairs_emitted);
-          const uint64_t fin = obs::internal::TraceNowNanos();
-          col->AddPhase("finalize", eobs[i].root, sweep_end_ns,
-                        fin - sweep_end_ns, 0);
-          col->EndPhase(eobs[i].root, fin, 0);
-          eobs[i].closed = true;
-          if (eobs[i].trace.profile()) {
-            resp.has_profile = true;
-            resp.profile = col->Finish(fin);
-          }
-        }
-        terminals[i].type = FrameType::kRangeQueryResult;
-        terminals[i].payload = EncodeRangeQueryResponse(resp);
-      }
-    }
-
-    // Scatter, in admission order, with the same tail the solo path runs:
-    // oversize replacement, slot release before the response is visible,
-    // latency charged from admission (buffer wait included).  Io-thread
-    // wakes are coalesced to one per io thread per batch.
-    std::vector<bool> wake_io(io.size(), false);
-    for (size_t i = 0; i < n; ++i) {
-      Terminal& term = terminals[i];
-      if (term.payload.size() > config.max_frame_payload) {
-        term.type = FrameType::kError;
-        term.payload = EncodeErrorResponse(Status::OutOfRange(
-            "response payload of " + std::to_string(term.payload.size()) +
-            " bytes exceeds the " + std::to_string(config.max_frame_payload) +
-            "-byte frame limit; split the request into smaller batches"));
-      }
-      std::vector<uint8_t> bytes = EncodeFrame(
-          term.type, entries[i].frame.header.request_id, 0, term.payload);
-      inflight.fetch_sub(1, std::memory_order_acq_rel);
-      metrics.inflight->Add(-1);
-      const double wall_us = ElapsedUs(entries[i].admitted_at);
-      metrics.latency_range_query->Record(wall_us);
-      uint64_t end_ns = obs::internal::TraceNowNanos();
-      if (eobs[i].collector != nullptr && !eobs[i].closed) {
-        // Deadline-expired / unresolvable member: its tree never reached
-        // the sweep, close the root here so the slow-log profile is whole.
-        eobs[i].collector->EndPhase(eobs[i].root, end_ns, 0);
-        eobs[i].closed = true;
-      }
-      RecordSlowQuery(eobs[i].trace, eobs[i].index,
-                      entries[i].frame.header.request_id,
-                      FrameType::kRangeQuery, eobs[i].status, wall_us,
-                      eobs[i].collector.get(), end_ns);
-      EnqueueFrameNoWake(entries[i].conn, std::move(bytes));
-      wake_io[entries[i].conn->io_index] = true;
-    }
-    // pending drops only after every response of the batch is queued (the
-    // shutdown drain invariant), then each touched io thread is woken once.
-    pending.fetch_sub(n, std::memory_order_acq_rel);
-    for (size_t idx = 0; idx < io.size(); ++idx) {
-      if (wake_io[idx]) io[idx]->wake.Notify();
-    }
-  }
-
-  /// Collector thread: parks admitted range queries until the batch fills
-  /// or the oldest one's wait budget expires, then hands the batch to the
-  /// worker pool.  While a batch executes, the next one accumulates — under
-  /// load that is what grows batch sizes (and amortisation) automatically.
-  void FusionLoop() {
-    std::unique_lock<std::mutex> lock(fusion_mu);
-    while (true) {
-      fusion_cv.wait(lock, [&] {
-        return !fusion_queue.empty() || stop.load(std::memory_order_relaxed);
-      });
-      if (fusion_queue.empty()) break;  // stop requested, fully drained
-      const Clock::time_point flush_at =
-          fusion_queue.front().admitted_at +
-          std::chrono::microseconds(config.fusion_wait_us);
-      fusion_cv.wait_until(lock, flush_at, [&] {
-        return fusion_queue.size() >= config.fusion_max_batch ||
-               stop.load(std::memory_order_relaxed);
-      });
-      // Budget spent but the workers are saturated with fused batches:
-      // keep accumulating until one completes (the worker notifies), the
-      // buffer fills, or stop.  One in-flight batch per worker thread keeps
-      // multicore pools busy without queueing up undersized batches.
-      const size_t max_outstanding = std::max<size_t>(
-          1, config.worker_threads != 0
-                 ? config.worker_threads
-                 : std::thread::hardware_concurrency());
-      fusion_cv.wait(lock, [&] {
-        return fusion_queue.size() >= config.fusion_max_batch ||
-               fusion_executing.load(std::memory_order_acquire) <
-                   max_outstanding ||
-               stop.load(std::memory_order_relaxed);
-      });
-      const bool full = fusion_queue.size() >= config.fusion_max_batch;
-      const size_t take = std::min(fusion_queue.size(), config.fusion_max_batch);
-      std::vector<FusionEntry> batch;
-      batch.reserve(take);
-      for (size_t i = 0; i < take; ++i) {
-        batch.push_back(std::move(fusion_queue.front()));
-        fusion_queue.pop_front();
-      }
-      lock.unlock();
-      if (full) {
-        fusion_batch_full.fetch_add(1, std::memory_order_relaxed);
-        GetServiceMetrics().fusion_batch_full->Add();
-      } else {
-        fusion_wait_expired.fetch_add(1, std::memory_order_relaxed);
-        GetServiceMetrics().fusion_wait_expired->Add();
-      }
-      fusion_executing.fetch_add(1, std::memory_order_acq_rel);
-      group->Run([this, batch = std::move(batch)]() mutable {
-        ExecuteFusedBatch(std::move(batch));
-        fusion_executing.fetch_sub(1, std::memory_order_acq_rel);
-        // Lock/unlock pairs with the collector's predicate so this wakeup
-        // cannot be lost between its check and its wait.
-        { std::lock_guard<std::mutex> relock(fusion_mu); }
-        fusion_cv.notify_one();
-      });
-      lock.lock();
-    }
-    // Frames racing in after this point fall back to solo dispatch; setting
-    // the flag under the lock makes "parked but never flushed" impossible.
-    fusion_exited = true;
-  }
-
   // -- frame routing (io threads) --------------------------------------------
 
   /// Decides what to do with one complete request frame: answer inline
@@ -1508,30 +1143,6 @@ struct Server::Impl {
     GetServiceMetrics().inflight->Add(1);
     pending.fetch_add(1, std::memory_order_acq_rel);
     const Clock::time_point admitted_at = Clock::now();
-    if (config.fusion_enabled && h.type == FrameType::kRangeQuery) {
-      bool parked = false;
-      bool notify = false;
-      {
-        std::lock_guard<std::mutex> lock(fusion_mu);
-        if (!fusion_exited) {
-          fusion_queue.push_back(FusionEntry{conn, std::move(frame),
-                                             admitted_at});
-          parked = true;
-          // The collector only sleeps on two edges: queue empty (waiting
-          // for a first entry) and batch not yet full (waiting out the
-          // budget).  Notifying on just those transitions spares a futex
-          // wake per request in between.
-          notify = fusion_queue.size() == 1 ||
-                   fusion_queue.size() >= config.fusion_max_batch;
-        }
-      }
-      if (parked) {
-        if (notify) fusion_cv.notify_one();
-        return;
-      }
-      // The collector already drained and exited (shutdown race): fall
-      // through to solo dispatch so the admitted request is still answered.
-    }
     group->Run([this, conn, frame = std::move(frame), admitted_at]() {
       ExecuteRequest(conn, frame, admitted_at);
       // pending drops strictly after the terminal response is queued, so
@@ -1615,10 +1226,6 @@ struct Server::Impl {
 
   void RequestStop() {
     stop.store(true, std::memory_order_seq_cst);
-    // Lock/unlock pairs the store with the collector's predicate check, so
-    // the wakeup below can never race into a lost notify.
-    { std::lock_guard<std::mutex> lock(fusion_mu); }
-    fusion_cv.notify_all();
     for (auto& t : io) t->wake.Notify();
   }
 
@@ -1805,10 +1412,6 @@ Result<std::unique_ptr<Server>> Server::Start(const ServerConfig& config) {
   for (size_t i = 0; i < impl.io.size(); ++i) {
     impl.io[i]->thread = std::thread([&impl, i]() { impl.IoLoop(i); });
   }
-  if (impl.config.fusion_enabled) {
-    if (impl.config.fusion_max_batch == 0) impl.config.fusion_max_batch = 1;
-    impl.fusion_thread = std::thread([&impl]() { impl.FusionLoop(); });
-  }
   return server;
 }
 
@@ -1825,7 +1428,6 @@ void Server::Wait() {
   for (auto& t : impl_->io) {
     if (t->thread.joinable()) t->thread.join();
   }
-  if (impl_->fusion_thread.joinable()) impl_->fusion_thread.join();
   // Io threads only exit once inflight hit zero, so this returns promptly.
   // group is null when Start() failed before creating it (e.g. the bind
   // failed) and its partially built Server is being destroyed.
@@ -1850,13 +1452,6 @@ ServerCounters Server::counters() const {
   c.pairs_streamed = impl.pairs_streamed.load(std::memory_order_relaxed);
   c.write_stall_disconnects =
       impl.write_stall_disconnects.load(std::memory_order_relaxed);
-  c.fusion_batches = impl.fusion_batches.load(std::memory_order_relaxed);
-  c.fusion_fused_queries =
-      impl.fusion_fused_queries.load(std::memory_order_relaxed);
-  c.fusion_batch_full =
-      impl.fusion_batch_full.load(std::memory_order_relaxed);
-  c.fusion_wait_expired =
-      impl.fusion_wait_expired.load(std::memory_order_relaxed);
   return c;
 }
 

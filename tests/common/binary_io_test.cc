@@ -6,12 +6,13 @@
 
 #include "workload/generators.h"
 #include "gtest/gtest.h"
+#include "test_util.h"
 
 namespace simjoin {
 namespace {
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return testing_util::TestTempDir() + "/" + name;
 }
 
 TEST(BinaryIoTest, RoundTripIsExact) {

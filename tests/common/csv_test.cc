@@ -5,6 +5,7 @@
 #include <string>
 
 #include "gtest/gtest.h"
+#include "test_util.h"
 
 namespace simjoin {
 namespace {
@@ -12,7 +13,7 @@ namespace {
 class CsvTest : public ::testing::Test {
  protected:
   std::string TempPath(const std::string& name) {
-    return ::testing::TempDir() + "/" + name;
+    return testing_util::TestTempDir() + "/" + name;
   }
 };
 

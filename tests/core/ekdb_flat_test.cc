@@ -179,13 +179,8 @@ TEST_P(FlatDifferentialTest, SelfJoinMatchesAfterSaveLoad) {
   auto tree = EkdbTree::Build(data, Config(c.epsilon, 16, c.metric));
   ASSERT_TRUE(tree.ok()) << tree.status().ToString();
 
-  // Parameterized test names contain '/', which cannot appear in a file
-  // name component.
-  std::string test_name =
-      ::testing::UnitTest::GetInstance()->current_test_info()->name();
-  std::replace(test_name.begin(), test_name.end(), '/', '_');
   const std::string path =
-      ::testing::TempDir() + "/flat_roundtrip_" + test_name + ".sjet";
+      testing_util::TestTempDir() + "/flat_roundtrip.sjet";
   ASSERT_TRUE(tree->Save(path).ok());
   auto flat = FlatEkdbTree::Load(data, path);
   std::remove(path.c_str());

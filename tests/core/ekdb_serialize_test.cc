@@ -13,7 +13,7 @@ namespace {
 using testing_util::ExpectSamePairs;
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return testing_util::TestTempDir() + "/" + name;
 }
 
 EkdbConfig Config(double epsilon) {

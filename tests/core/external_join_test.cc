@@ -17,7 +17,7 @@ using testing_util::OracleSelfJoin;
 class ExternalJoinTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    temp_dir_ = ::testing::TempDir() + "/extjoin";
+    temp_dir_ = testing_util::TestTempDir() + "/extjoin";
     std::filesystem::create_directories(temp_dir_);
   }
 

@@ -40,7 +40,7 @@ EkdbConfig Config(double epsilon, size_t leaf_threshold = 16) {
 class SegmentIoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    temp_dir_ = ::testing::TempDir() + "/segment_io";
+    temp_dir_ = testing_util::TestTempDir() + "/segment_io";
     std::filesystem::create_directories(temp_dir_);
   }
 

@@ -91,7 +91,8 @@ TEST(CsvRoundTripPipelineTest, JoinResultsSurviveSerialisation) {
   auto data = GenerateClustered(
       {.n = 250, .dims = 4, .clusters = 4, .sigma = 0.04, .seed = 3});
   ASSERT_TRUE(data.ok());
-  const std::string path = ::testing::TempDir() + "/pipeline_roundtrip.csv";
+  const std::string path =
+      testing_util::TestTempDir() + "/pipeline_roundtrip.csv";
   ASSERT_TRUE(WriteCsv(*data, path).ok());
   auto loaded = ReadCsv(path);
   ASSERT_TRUE(loaded.ok());

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "test_util.h"
 
 namespace simjoin {
 namespace obs {
@@ -32,12 +33,7 @@ SlowQueryEntry Entry(uint64_t request_id, uint64_t unix_micros = 1) {
 /// Temp file path unique to the current test; removed on destruction.
 class TempPath {
  public:
-  TempPath() {
-    path_ = testing::TempDir() + "slowlog_" +
-            testing::UnitTest::GetInstance()->current_test_info()->name() +
-            ".jsonl";
-    std::remove(path_.c_str());
-  }
+  TempPath() : path_(testing_util::TestTempDir() + "/slowlog.jsonl") {}
   ~TempPath() { std::remove(path_.c_str()); }
   const std::string& get() const { return path_; }
 

@@ -11,13 +11,14 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "test_util.h"
 
 namespace simjoin {
 namespace obs {
 namespace {
 
 std::string TracePath(const char* name) {
-  return testing::TempDir() + "/" + name;
+  return testing_util::TestTempDir() + "/" + name;
 }
 
 std::string ReadFile(const std::string& path) {

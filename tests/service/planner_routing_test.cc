@@ -1,7 +1,7 @@
 // Randomized differential tests of the cost-based range planner over the
 // wire: planner-routed exact answers must be bit-identical to forced
 // ekdb-flat answers (both canonical ascending order) at every worker count,
-// solo and under concurrent fused traffic; the recall-controlled LSH tier
+// alone and under concurrent traffic; the recall-controlled LSH tier
 // must return a verified subset meeting its target; bad planner fields must
 // be rejected; repeated (epsilon, recall) pairs must hit the plan cache.
 
@@ -20,6 +20,7 @@
 #include "service/server.h"
 #include "workload/generators.h"
 #include "gtest/gtest.h"
+#include "test_util.h"
 
 namespace simjoin {
 namespace {
@@ -171,7 +172,7 @@ TEST(PlannerRoutingTest, ConcurrentPlannerAndLegacyTrafficStaysConsistent) {
   }
 
   // Several connections fire planner-auto and legacy requests at once so
-  // the fusion collector sees mixed batches; every answer must match.
+  // the workers interleave both kinds; every answer must match.
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
   for (size_t t = 0; t < 4; ++t) {
@@ -283,7 +284,8 @@ TEST(PlannerRoutingTest, ForcedRTreeIsBitIdenticalToRoutedExact) {
 }
 
 TEST(PlannerRoutingTest, OnDiskBuildServesIdenticallyToInMemoryBuild) {
-  const std::string spill_dir = ::testing::TempDir() + "/routing_spill";
+  const std::string spill_dir =
+      testing_util::TestTempDir() + "/routing_spill";
   std::filesystem::create_directories(spill_dir);
   auto data = GenerateUniform({.n = 1200, .dims = 6, .seed = 0x61});
   ASSERT_TRUE(data.ok());

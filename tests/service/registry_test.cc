@@ -10,6 +10,7 @@
 #include "common/binary_io.h"
 #include "workload/generators.h"
 #include "gtest/gtest.h"
+#include "test_util.h"
 
 namespace simjoin {
 namespace {
@@ -223,7 +224,7 @@ TEST(RegistryUpdatableTest, DeltaGrowthEvictsOthersNeverItself) {
 class RegistrySegmentTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    spill_dir_ = ::testing::TempDir() + "/registry_spill";
+    spill_dir_ = testing_util::TestTempDir() + "/registry_spill";
     std::filesystem::create_directories(spill_dir_);
   }
 
@@ -405,7 +406,7 @@ TEST_F(RegistrySegmentTest, CorruptSpillFileFailsFaultInCleanly) {
 
 TEST(RegistryConcurrencyTest, SegmentFaultInWhileEvicting) {
   const std::string spill_dir =
-      ::testing::TempDir() + "/registry_spill_race";
+      testing_util::TestTempDir() + "/registry_spill_race";
   std::filesystem::create_directories(spill_dir);
   auto first = MustBuild("cold-0", 300, 1);
   // Budget of ~1.5 indexes over 4 names: every Put demotes someone, and the

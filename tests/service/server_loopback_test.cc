@@ -3,7 +3,10 @@
 // same neighbour id order, same join pair sequence, same JoinStats — at
 // every thread count.  The service adds transport, not semantics.
 
+#include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <map>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -11,6 +14,7 @@
 #include "core/ekdb_flat.h"
 #include "core/ekdb_flat_join.h"
 #include "core/ekdb_tree.h"
+#include "core/epsilon_grid.h"
 #include "service/client.h"
 #include "service/server.h"
 #include "workload/generators.h"
@@ -66,6 +70,31 @@ void ExpectStatsEqual(const JoinStats& a, const JoinStats& b) {
   EXPECT_EQ(a.pairs_emitted, b.pairs_emitted);
   EXPECT_EQ(a.simd_batches, b.simd_batches);
   EXPECT_EQ(a.scalar_fallbacks, b.scalar_fallbacks);
+}
+
+/// Reads one whole frame from a raw connection.
+Frame ReadRawFrame(TcpSocket* sock) {
+  Frame frame;
+  uint8_t header[kFrameHeaderSize];
+  EXPECT_TRUE(sock->RecvAll(header, sizeof(header)).ok());
+  EXPECT_TRUE(
+      DecodeFrameHeader(header, kDefaultMaxFramePayload, &frame.header).ok());
+  frame.payload.resize(frame.header.payload_size);
+  EXPECT_TRUE(sock->RecvAll(frame.payload.data(), frame.payload.size()).ok());
+  return frame;
+}
+
+/// Encodes a legacy (plannerless) RangeQuery frame for one query point.
+std::vector<uint8_t> RangeQueryFrame(const std::string& name,
+                                     std::span<const float> point,
+                                     double epsilon, uint64_t request_id) {
+  RangeQueryRequest req;
+  req.name = name;
+  req.epsilon = epsilon;
+  req.dims = static_cast<uint32_t>(point.size());
+  req.queries.assign(point.begin(), point.end());
+  return EncodeFrame(FrameType::kRangeQuery, request_id, 0,
+                     EncodeRangeQueryRequest(req));
 }
 
 TEST(ServerLoopbackTest, PingAndStats) {
@@ -269,6 +298,340 @@ TEST(ServerLoopbackTest, ParallelClientsGetConsistentAnswers) {
   EXPECT_EQ(live.server->counters().decode_errors, 0u);
 }
 
+// Many connections issuing overlapping multi-query requests get answers
+// identical to the in-process FlatEkdbTree, per query and per JoinStats,
+// at 1/2/4 worker threads.
+TEST(ServerLoopbackTest, MultiQueryRequestsMatchReferenceAtEveryWorkerCount) {
+  const Dataset data = MakeData(500, 8, 11);
+  const EkdbConfig config = Config(0.2);
+  auto ref_tree = EkdbTree::Build(data, config);
+  ASSERT_TRUE(ref_tree.ok());
+  auto ref_flat = FlatEkdbTree::FromTree(*ref_tree);
+  ASSERT_TRUE(ref_flat.ok());
+
+  constexpr size_t kThreads = 8;
+  constexpr size_t kRequestsPerThread = 4;
+  constexpr size_t kQueriesPerRequest = 16;
+
+  for (const uint32_t workers : {1u, 2u, 4u}) {
+    ServerConfig server_config;
+    server_config.worker_threads = workers;
+    LiveServer live = StartWithClient(server_config);
+    ASSERT_TRUE(
+        live.client.BuildIndex(BuildRequestFor("d", data, config)).ok());
+
+    const uint16_t port = live.server->port();
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t]() {
+        auto client = Client::Connect({.port = port});
+        ASSERT_TRUE(client.ok());
+        for (size_t r = 0; r < kRequestsPerThread; ++r) {
+          RangeQueryRequest req;
+          req.name = "d";
+          req.epsilon = 0.15;
+          req.dims = static_cast<uint32_t>(data.dims());
+          std::vector<size_t> rows(kQueriesPerRequest);
+          for (size_t q = 0; q < kQueriesPerRequest; ++q) {
+            rows[q] = (t * 131 + r * 17 + q) % data.size();
+            const float* row = data.Row(static_cast<PointId>(rows[q]));
+            req.queries.insert(req.queries.end(), row, row + data.dims());
+          }
+          auto resp = client->RangeQuery(req);
+          ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+          ASSERT_EQ(resp->results.size(), kQueriesPerRequest);
+          JoinStats ref_stats;
+          for (size_t q = 0; q < kQueriesPerRequest; ++q) {
+            std::vector<PointId> expected;
+            ASSERT_TRUE(ref_flat
+                            ->RangeQuery(data.Row(static_cast<PointId>(
+                                             rows[q])),
+                                         0.15, &expected, &ref_stats)
+                            .ok());
+            EXPECT_EQ(resp->results[q], expected)
+                << "workers=" << workers << " thread=" << t << " query=" << q;
+          }
+          ExpectStatsEqual(resp->stats, ref_stats);
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+  }
+}
+
+// The default server config answers 256 pipelined batch=1 RangeQuery frames
+// spread over 4 connections: none is refused, and every answer (ids in
+// order, JoinStats) is bit-identical to the in-process IndexSnapshot.
+TEST(ServerLoopbackTest, PipelinedSingleQueryFramesMatchInProcessSnapshot) {
+  auto generated = GenerateClustered(
+      {.n = 2000, .dims = 8, .clusters = 8, .sigma = 0.04, .seed = 71});
+  ASSERT_TRUE(generated.ok());
+  const Dataset& data = *generated;
+  const EkdbConfig config = Config(0.1);
+  auto oracle = IndexSnapshot::Build("oracle", data, config);
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+
+  LiveServer live = StartWithClient();
+  ASSERT_TRUE(live.client.BuildIndex(BuildRequestFor("d", data, config)).ok());
+  const ServerCounters before = live.server->counters();
+
+  constexpr size_t kConns = 4;
+  constexpr size_t kFramesPerConn = 64;
+  std::vector<TcpSocket> conns;
+  for (size_t c = 0; c < kConns; ++c) {
+    auto sock = TcpSocket::Connect("127.0.0.1", live.server->port());
+    ASSERT_TRUE(sock.ok()) << sock.status().ToString();
+    conns.push_back(std::move(*sock));
+  }
+  // Frame f carries query row (f * 7) % n under request id f + 1; every
+  // connection writes all of its frames before any response is read.
+  const auto row_of = [&](uint64_t request_id) {
+    return static_cast<PointId>(((request_id - 1) * 7) % data.size());
+  };
+  for (size_t c = 0; c < kConns; ++c) {
+    std::vector<uint8_t> stream;
+    for (size_t i = 0; i < kFramesPerConn; ++i) {
+      const uint64_t id = c * kFramesPerConn + i + 1;
+      const std::vector<uint8_t> frame =
+          RangeQueryFrame("d", data.RowSpan(row_of(id)), 0.08, id);
+      stream.insert(stream.end(), frame.begin(), frame.end());
+    }
+    ASSERT_TRUE(conns[c].SendAll(stream.data(), stream.size()).ok());
+  }
+
+  size_t answered = 0;
+  size_t total_ids = 0;
+  for (size_t c = 0; c < kConns; ++c) {
+    for (size_t i = 0; i < kFramesPerConn; ++i) {
+      const Frame frame = ReadRawFrame(&conns[c]);
+      const uint64_t id = frame.header.request_id;
+      ASSERT_GE(id, c * kFramesPerConn + 1);
+      ASSERT_LE(id, (c + 1) * kFramesPerConn);
+      ASSERT_EQ(frame.header.type, FrameType::kRangeQueryResult)
+          << "request " << id << " answered with type "
+          << static_cast<int>(frame.header.type);
+      RangeQueryResponse resp;
+      ASSERT_TRUE(ParseRangeQueryResponse(frame.payload, &resp).ok());
+      ASSERT_EQ(resp.results.size(), 1u);
+      std::vector<PointId> expected;
+      JoinStats expected_stats;
+      ASSERT_TRUE((*oracle)
+                      ->RangeQuery(data.Row(row_of(id)), 0.08, &expected,
+                                   &expected_stats)
+                      .ok());
+      EXPECT_EQ(resp.results[0], expected) << "request " << id;
+      ExpectStatsEqual(resp.stats, expected_stats);
+      total_ids += expected.size();
+      ++answered;
+    }
+  }
+  EXPECT_EQ(answered, kConns * kFramesPerConn);
+  EXPECT_GT(total_ids, answered);  // answers are not trivially empty
+  const ServerCounters after = live.server->counters();
+  EXPECT_EQ(after.requests_rejected, before.requests_rejected);
+  EXPECT_EQ(after.deadline_expired, before.deadline_expired);
+  EXPECT_EQ(after.requests_admitted - before.requests_admitted,
+            kConns * kFramesPerConn);
+}
+
+// The SIMD dispatch tiers (portable / AVX2 / AVX-512) are selected at
+// kernel construction via SIMJOIN_KERNEL_PATH; all of them must produce
+// the same responses down to the JoinStats.  On hosts without the wider
+// ISA the pin degrades one tier at a time, so the test still compares
+// three (possibly coinciding) executions.
+TEST(ServerLoopbackTest, DispatchTiersAgreeBitForBit) {
+  const Dataset data = MakeData(400, 16, 29);
+  const EkdbConfig config = Config(0.3);
+  LiveServer live = StartWithClient();
+  ASSERT_TRUE(
+      live.client.BuildIndex(BuildRequestFor("d", data, config)).ok());
+
+  RangeQueryRequest req;
+  req.name = "d";
+  req.epsilon = 0.25;
+  req.dims = static_cast<uint32_t>(data.dims());
+  const size_t batch = 64;
+  req.queries.assign(data.flat().begin(),
+                     data.flat().begin() + batch * data.dims());
+
+  std::vector<std::vector<std::vector<PointId>>> per_tier_results;
+  std::vector<JoinStats> per_tier_stats;
+  for (const char* tier : {"portable", "avx2", "avx512"}) {
+    ASSERT_EQ(setenv("SIMJOIN_KERNEL_PATH", tier, /*overwrite=*/1), 0);
+    auto resp = live.client.RangeQuery(req);
+    ASSERT_TRUE(resp.ok()) << tier << ": " << resp.status().ToString();
+    per_tier_results.push_back(resp->results);
+    per_tier_stats.push_back(resp->stats);
+  }
+  ASSERT_EQ(unsetenv("SIMJOIN_KERNEL_PATH"), 0);
+
+  for (size_t i = 1; i < per_tier_results.size(); ++i) {
+    EXPECT_EQ(per_tier_results[i], per_tier_results[0]) << "tier " << i;
+    ExpectStatsEqual(per_tier_stats[i], per_tier_stats[0]);
+  }
+
+  // And the tiers agree with the scalar reference on the ids themselves.
+  auto ref_tree = EkdbTree::Build(data, config);
+  ASSERT_TRUE(ref_tree.ok());
+  auto ref_flat = FlatEkdbTree::FromTree(*ref_tree);
+  ASSERT_TRUE(ref_flat.ok());
+  ASSERT_EQ(setenv("SIMJOIN_KERNEL_PATH", "scalar", 1), 0);
+  for (size_t q = 0; q < batch; ++q) {
+    std::vector<PointId> expected;
+    ASSERT_TRUE(ref_flat
+                    ->RangeQuery(data.Row(static_cast<PointId>(q)), 0.25,
+                                 &expected)
+                    .ok());
+    EXPECT_EQ(per_tier_results[0][q], expected) << "query " << q;
+  }
+  ASSERT_EQ(unsetenv("SIMJOIN_KERNEL_PATH"), 0);
+}
+
+// Bad requests pipelined on one connection between good ones fail
+// individually, with the error each would get alone, without poisoning the
+// good requests around them or the connection itself.
+TEST(ServerLoopbackTest, PipelinedRequestErrorsAreIsolated) {
+  LiveServer live = StartWithClient();
+  const Dataset data = MakeData(80, 3, 7);
+  const EkdbConfig config = Config(0.2);
+  ASSERT_TRUE(live.client.BuildIndex(BuildRequestFor("d", data, config)).ok());
+  auto ref_tree = EkdbTree::Build(data, config);
+  ASSERT_TRUE(ref_tree.ok());
+  auto ref_flat = FlatEkdbTree::FromTree(*ref_tree);
+  ASSERT_TRUE(ref_flat.ok());
+
+  // Request id i + 1 is shape i % 4: good, unknown index, dimension
+  // mismatch, radius beyond the build epsilon.
+  constexpr size_t kRequests = 32;
+  const std::vector<float> two_dims = {0.5f, 0.5f};
+  std::vector<uint8_t> stream;
+  for (size_t i = 0; i < kRequests; ++i) {
+    const uint64_t id = i + 1;
+    const std::span<const float> row =
+        data.RowSpan(static_cast<PointId>(i % data.size()));
+    std::vector<uint8_t> frame;
+    switch (i % 4) {
+      case 0: frame = RangeQueryFrame("d", row, 0.1, id); break;
+      case 1: frame = RangeQueryFrame("ghost", row, 0.1, id); break;
+      case 2: frame = RangeQueryFrame("d", two_dims, 0.1, id); break;
+      default: frame = RangeQueryFrame("d", row, 0.9, id); break;
+    }
+    stream.insert(stream.end(), frame.begin(), frame.end());
+  }
+  auto raw = TcpSocket::Connect("127.0.0.1", live.server->port());
+  ASSERT_TRUE(raw.ok());
+  ASSERT_TRUE(raw->SendAll(stream.data(), stream.size()).ok());
+
+  // Workers may finish out of order; match responses by request id.
+  std::map<uint64_t, Frame> responses;
+  for (size_t i = 0; i < kRequests; ++i) {
+    Frame frame = ReadRawFrame(&*raw);
+    responses[frame.header.request_id] = std::move(frame);
+  }
+  ASSERT_EQ(responses.size(), kRequests);
+  for (size_t i = 0; i < kRequests; ++i) {
+    const Frame& frame = responses[i + 1];
+    if (i % 4 == 0) {
+      ASSERT_EQ(frame.header.type, FrameType::kRangeQueryResult) << i;
+      RangeQueryResponse resp;
+      ASSERT_TRUE(ParseRangeQueryResponse(frame.payload, &resp).ok());
+      ASSERT_EQ(resp.results.size(), 1u);
+      std::vector<PointId> expected;
+      ASSERT_TRUE(ref_flat
+                      ->RangeQuery(data.Row(static_cast<PointId>(
+                                       i % data.size())),
+                                   0.1, &expected)
+                      .ok());
+      EXPECT_EQ(resp.results[0], expected) << i;
+      continue;
+    }
+    ASSERT_EQ(frame.header.type, FrameType::kError) << i;
+    Status status;
+    ASSERT_TRUE(ParseErrorResponse(frame.payload, &status).ok());
+    EXPECT_EQ(status.code(), i % 4 == 1 ? StatusCode::kNotFound
+                                        : StatusCode::kInvalidArgument)
+        << i << ": " << status.ToString();
+  }
+
+  // The connection survived every error above.
+  const std::vector<uint8_t> ping = EncodeFrame(FrameType::kPing, 999, 0, {});
+  ASSERT_TRUE(raw->SendAll(ping.data(), ping.size()).ok());
+  const Frame pong = ReadRawFrame(&*raw);
+  EXPECT_EQ(pong.header.type, FrameType::kPong);
+  EXPECT_EQ(pong.header.request_id, 999u);
+}
+
+// The epsilon-grid backend built over the wire answers range queries
+// bit-identically to the in-process EpsilonGrid, and joins against it fall
+// back to a lazily built flat-tree auxiliary — same pairs as a tree-primary
+// index, no error.
+TEST(ServerLoopbackTest, GridBackendServesQueriesAndJoinsViaTreeFallback) {
+  const Dataset data = MakeData(600, 3, 41);
+  const EkdbConfig config = Config(0.15);
+  auto ref_grid = EpsilonGrid::Build(data, config);
+  ASSERT_TRUE(ref_grid.ok());
+
+  LiveServer live = StartWithClient();
+  BuildIndexRequest build = BuildRequestFor("g", data, config);
+  build.backend = BackendKind::kEpsilonGrid;
+  auto built = live.client.BuildIndex(build);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+
+  RangeQueryRequest req;
+  req.name = "g";
+  req.epsilon = 0.12;
+  req.dims = static_cast<uint32_t>(data.dims());
+  const size_t batch = 32;
+  req.queries.assign(data.flat().begin(),
+                     data.flat().begin() + batch * data.dims());
+  auto resp = live.client.RangeQuery(req);
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  ASSERT_EQ(resp->results.size(), batch);
+  JoinStats ref_stats;
+  for (size_t q = 0; q < batch; ++q) {
+    std::vector<PointId> expected;
+    ASSERT_TRUE(ref_grid
+                    ->RangeQuery(data.Row(static_cast<PointId>(q)), 0.12,
+                                 &expected, &ref_stats)
+                    .ok());
+    EXPECT_EQ(resp->results[q], expected) << "query " << q;
+  }
+  ExpectStatsEqual(resp->stats, ref_stats);
+
+  // Self-join on the grid index streams the same pairs the flat tree
+  // produces in-process (the server joins on its lazily built tree aux).
+  auto ref_tree = EkdbTree::Build(data, config);
+  ASSERT_TRUE(ref_tree.ok());
+  auto ref_flat = FlatEkdbTree::FromTree(*ref_tree);
+  ASSERT_TRUE(ref_flat.ok());
+  VectorSink ref_sink;
+  ASSERT_TRUE(FlatEkdbSelfJoin(*ref_flat, &ref_sink).ok());
+
+  SimilarityJoinRequest join;
+  join.name_a = "g";
+  VectorSink sink;
+  auto done = live.client.SimilarityJoin(join, &sink);
+  ASSERT_TRUE(done.ok()) << done.status().ToString();
+  EXPECT_EQ(sink.pairs(), ref_sink.pairs());
+
+  // A cross-join naming the grid index on either side works the same way
+  // (grid aux tree vs. tree primary over identical data = self-join pairs,
+  // both orientations).
+  ASSERT_TRUE(live.client.BuildIndex(BuildRequestFor("t", data, config)).ok());
+  join.name_a = "t";
+  join.name_b = "g";
+  VectorSink cross_sink;
+  done = live.client.SimilarityJoin(join, &cross_sink);
+  ASSERT_TRUE(done.ok()) << done.status().ToString();
+
+  join.name_a = "g";
+  join.name_b = "t";
+  VectorSink cross_sink2;
+  done = live.client.SimilarityJoin(join, &cross_sink2);
+  ASSERT_TRUE(done.ok()) << done.status().ToString();
+  EXPECT_EQ(cross_sink.pairs(), cross_sink2.pairs());
+}
+
 TEST(ServerLoopbackTest, ErrorPaths) {
   LiveServer live = StartWithClient();
 
@@ -384,6 +747,62 @@ TEST(ServerLoopbackTest, DeadlineExpiryReported) {
   EXPECT_EQ(ids.status().code(), StatusCode::kDeadlineExceeded)
       << ids.status().ToString();
   EXPECT_GE(live.server->counters().deadline_expired, 1u);
+}
+
+// The deadline clock starts at admission, so time spent queued behind other
+// requests for the only worker counts against it: a query whose own handling
+// fits its deadline expires when it has to wait, and its connection keeps
+// serving afterwards.
+TEST(ServerLoopbackTest, DeadlineCountsTimeQueuedForAWorker) {
+  ServerConfig config;
+  config.worker_threads = 1;
+  config.handler_delay_ms_for_testing = 100;
+  LiveServer live = StartWithClient(config);
+  const Dataset data = MakeData(60, 3, 5);
+  ASSERT_TRUE(
+      live.client.BuildIndex(BuildRequestFor("d", data, Config())).ok());
+
+  ClientConfig cc;
+  cc.port = live.server->port();
+  cc.deadline_ms = 250;
+  auto deadline_client = Client::Connect(cc);
+  ASSERT_TRUE(deadline_client.ok());
+  const uint64_t expired_before = live.server->counters().deadline_expired;
+
+  // Three deadline-free blockers occupy the worker for about 300 ms.
+  constexpr int kBlockers = 3;
+  std::atomic<int> blockers_ok{0};
+  std::vector<std::thread> blockers;
+  for (int b = 0; b < kBlockers; ++b) {
+    blockers.emplace_back([&, b] {
+      ClientConfig bc;
+      bc.port = live.server->port();
+      auto client = Client::Connect(bc);
+      ASSERT_TRUE(client.ok()) << client.status().ToString();
+      auto ids = client->RangeQueryOne("d", data.RowSpan(b), 0.05);
+      ASSERT_TRUE(ids.ok()) << ids.status().ToString();
+      blockers_ok.fetch_add(1);
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  auto queued = deadline_client->RangeQueryOne("d", data.RowSpan(0), 0.05);
+  for (std::thread& t : blockers) t.join();
+  EXPECT_EQ(blockers_ok.load(), kBlockers);
+  EXPECT_EQ(queued.status().code(), StatusCode::kDeadlineExceeded)
+      << queued.status().ToString();
+  EXPECT_GE(live.server->counters().deadline_expired, expired_before + 1);
+
+  // With the worker idle the same query fits its deadline on the same
+  // connection, and answers as the in-process index does.
+  auto solo = deadline_client->RangeQueryOne("d", data.RowSpan(0), 0.05);
+  ASSERT_TRUE(solo.ok()) << solo.status().ToString();
+  auto ref_tree = EkdbTree::Build(data, Config());
+  ASSERT_TRUE(ref_tree.ok());
+  auto ref_flat = FlatEkdbTree::FromTree(*ref_tree);
+  ASSERT_TRUE(ref_flat.ok());
+  std::vector<PointId> expected;
+  ASSERT_TRUE(ref_flat->RangeQuery(data.Row(0), 0.05, &expected).ok());
+  EXPECT_EQ(*solo, expected);
 }
 
 TEST(ServerLoopbackTest, MalformedBytesGetErrorFrameAndClose) {
@@ -532,6 +951,68 @@ TEST(ServerLoopbackTest, StartOnOccupiedPortFailsCleanly) {
   conflict.port = live.server->port();
   auto second = Server::Start(conflict);
   EXPECT_FALSE(second.ok());
+}
+
+// Shutdown while admitted queries are still executing: every one of them
+// still gets its exact answer, and Wait() returns.
+TEST(ServerLoopbackTest, ShutdownAnswersEveryAdmittedQuery) {
+  ServerConfig config;
+  config.handler_delay_ms_for_testing = 50;  // keeps them in flight
+  LiveServer live = StartWithClient(config);
+  const Dataset data = MakeData(200, 4, 13);
+  const EkdbConfig index_config = Config(0.2);
+  ASSERT_TRUE(
+      live.client.BuildIndex(BuildRequestFor("d", data, index_config)).ok());
+  auto ref_tree = EkdbTree::Build(data, index_config);
+  ASSERT_TRUE(ref_tree.ok());
+  auto ref_flat = FlatEkdbTree::FromTree(*ref_tree);
+  ASSERT_TRUE(ref_flat.ok());
+
+  constexpr size_t kQueries = 8;
+  const uint64_t admitted_before = live.server->counters().requests_admitted;
+  auto raw = TcpSocket::Connect("127.0.0.1", live.server->port());
+  ASSERT_TRUE(raw.ok());
+  std::vector<uint8_t> stream;
+  for (size_t i = 0; i < kQueries; ++i) {
+    const std::vector<uint8_t> frame = RangeQueryFrame(
+        "d", data.RowSpan(static_cast<PointId>(i * 31 % data.size())), 0.1,
+        i + 1);
+    stream.insert(stream.end(), frame.begin(), frame.end());
+  }
+  ASSERT_TRUE(raw->SendAll(stream.data(), stream.size()).ok());
+  // Pull the plug once every query is admitted (and none can have finished:
+  // each sleeps in its handler first).
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (live.server->counters().requests_admitted <
+             admitted_before + kQueries &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(live.server->counters().requests_admitted,
+            admitted_before + kQueries);
+  live.server->Shutdown();
+
+  std::map<uint64_t, Frame> responses;
+  for (size_t i = 0; i < kQueries; ++i) {
+    Frame frame = ReadRawFrame(&*raw);
+    responses[frame.header.request_id] = std::move(frame);
+  }
+  for (size_t i = 0; i < kQueries; ++i) {
+    const Frame& frame = responses[i + 1];
+    ASSERT_EQ(frame.header.type, FrameType::kRangeQueryResult) << i;
+    RangeQueryResponse resp;
+    ASSERT_TRUE(ParseRangeQueryResponse(frame.payload, &resp).ok());
+    ASSERT_EQ(resp.results.size(), 1u);
+    std::vector<PointId> expected;
+    ASSERT_TRUE(ref_flat
+                    ->RangeQuery(data.Row(static_cast<PointId>(
+                                     i * 31 % data.size())),
+                                 0.1, &expected)
+                    .ok());
+    EXPECT_EQ(resp.results[0], expected) << i;
+  }
+  live.server->Wait();
 }
 
 TEST(ServerLoopbackTest, ShutdownDrainsCleanly) {

@@ -3,7 +3,13 @@
 #ifndef SIMJOIN_TESTS_TEST_UTIL_H_
 #define SIMJOIN_TESTS_TEST_UTIL_H_
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
+#include <set>
+#include <string>
+#include <system_error>
 #include <vector>
 
 #include "baselines/nested_loop.h"
@@ -14,6 +20,35 @@
 
 namespace simjoin {
 namespace testing_util {
+
+/// Scratch directory private to the running test, created on first use:
+/// <TempDir>/simjoin_<Suite>.<Test>_<pid>.  ctest runs each test in its own
+/// process, and `ctest -j` runs them side by side, so a fixed path would
+/// let one test delete another's files.  Every directory handed out is
+/// removed when the process exits.
+inline std::string TestTempDir() {
+  static struct Cleanup {
+    std::set<std::string> dirs;
+    ~Cleanup() {
+      std::error_code ec;
+      for (const std::string& dir : dirs) std::filesystem::remove_all(dir, ec);
+    }
+  } cleanup;
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string name = info == nullptr ? "global"
+                                     : std::string(info->test_suite_name()) +
+                                           "." + info->name();
+  // Parameterized names contain '/', which cannot appear in a file name.
+  std::replace(name.begin(), name.end(), '/', '_');
+  const std::string dir =
+      (std::filesystem::path(::testing::TempDir()) /
+       ("simjoin_" + name + "_" + std::to_string(::getpid())))
+          .string();
+  std::filesystem::create_directories(dir);
+  cleanup.dirs.insert(dir);
+  return dir;
+}
 
 /// Builds a dataset from an initializer-friendly nested vector.
 inline Dataset MakeDataset(const std::vector<std::vector<float>>& rows) {
